@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all test race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation metrics-smoke experiments demo examples loc help
+.PHONY: all test race vet lint lint-hotpath lint-concurrency lint-arch lint-bounded lint-pair lint-guard bench bench-baseline bench-compare bench-isolation bench-e2e metrics-smoke experiments demo examples loc help
 
 all: vet test lint ## vet + test + lint (the CI gate)
 
 help: ## list the available targets
-	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
+	@awk -F':.*## ' '/^[a-z0-9-]+:.*## /{printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
 
 test: ## run the full test suite
 	$(GO) test ./...
@@ -51,6 +51,9 @@ bench-compare: ## re-measure the hot-path suite; fail on >10% ns/op or any alloc
 bench-isolation: ## run the tenant timing-isolation scenario and refresh BENCH_isolation.json
 	$(GO) run ./cmd/insane-bench -isolation -isolation-out BENCH_isolation.json
 
+bench-e2e: ## run the end-to-end benchmark declared in BENCHMARK.json (_e2ebench/README.md)
+	bash _e2ebench/run.sh
+
 metrics-smoke: ## boot a 2-node cluster, scrape /metrics, check the required series
 	$(GO) run ./cmd/insane-info -metrics > /tmp/insane_metrics.prom
 	@for series in insane_emits_total insane_consumes_total \
@@ -80,6 +83,14 @@ examples: ## run every example program
 	$(GO) run ./examples/camera-streaming
 	$(GO) run ./examples/tsn-control
 
-# Count the repository's lines of Go.
-loc: ## count lines of Go
-	@find . -name '*.go' | xargs wc -l | tail -1
+# Count the repository's lines of Go in three parts: runtime (every
+# non-test file outside the lint suite), the insanevet lint suite
+# (internal/lint, cmd/insanevet) and tests. Analyzer fixtures under
+# testdata/ and the benchmark's build directory are not counted.
+LOC_FIND = find . -name '*.go' -not -path '*/testdata/*' -not -path '*/.bench_build/*'
+LOC_LINT = \( -path './internal/lint/*' -o -path './cmd/insanevet/*' \)
+
+loc: ## count lines of Go: runtime, lint suite and tests
+	@printf 'runtime %7d\n' $$($(LOC_FIND) -not -name '*_test.go' -not $(LOC_LINT) -print0 | xargs -0 cat | wc -l)
+	@printf 'lint    %7d\n' $$($(LOC_FIND) -not -name '*_test.go' $(LOC_LINT) -print0 | xargs -0 cat | wc -l)
+	@printf 'tests   %7d\n' $$($(LOC_FIND) -name '*_test.go' -print0 | xargs -0 cat | wc -l)

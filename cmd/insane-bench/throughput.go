@@ -44,7 +44,7 @@ func runThroughput(packetsPerStream int) ([]bench.ThroughputResult, error) {
 
 // measureThroughput runs streams concurrent producer/consumer pairs on
 // one node with the given polling-thread count. Each stream gets its own
-// session (hence its own single-producer TX lane) and its own channel,
+// session (hence its own TX lane) and its own channel,
 // so the topology exercises the per-(session,technology) lane design
 // rather than serializing on a shared ring.
 func measureThroughput(name string, pollers, streams, size, packets int) (bench.ThroughputResult, error) {

@@ -148,42 +148,6 @@ func TestMetricsConcurrentPublishers(t *testing.T) {
 	}
 }
 
-// TestMetricsTelemetryDisabled checks that WithTelemetry(false) keeps a
-// stream's messages out of the latency histograms while the counters
-// still run.
-func TestMetricsTelemetryDisabled(t *testing.T) {
-	c := twoNodes(t, insane.NodeSpec{DPDK: true})
-	rx, _ := c.Node("edge-2").InitSession()
-	defer rx.Close()
-	rxStream, err := rx.CreateStreamOpts(insane.WithDatapath(insane.Fast), insane.WithTelemetry(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, _ := rxStream.CreateSink(3, nil)
-	tx, _ := c.Node("edge-1").InitSession()
-	defer tx.Close()
-	txStream, err := tx.CreateStreamOpts(insane.WithDatapath(insane.Fast), insane.WithTelemetry(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitSubs(t, c.Node("edge-1"), 3, 1)
-	src, _ := txStream.CreateSource(3)
-	send(t, src, []byte("quiet"))
-	m, err := consumeWithin(sink, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.Release(m)
-
-	mrx := c.Node("edge-2").Metrics()
-	if mrx.Consumes != 1 {
-		t.Errorf("Consumes = %d, want 1 (counters must still run)", mrx.Consumes)
-	}
-	if mrx.ConsumeLatency.Count != 0 {
-		t.Errorf("ConsumeLatency.Count = %d, want 0 with telemetry disabled", mrx.ConsumeLatency.Count)
-	}
-}
-
 // TestMetricsEndpoint scrapes the cluster's /metrics endpoint over real
 // HTTP and validates the exposition: well-formed families, the required
 // per-stage series present, and histogram invariants (+Inf == count).
@@ -479,10 +443,6 @@ func TestErrorSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ErrNoData / ErrTimeout by-value rows live in compat_test.go:
-	// only the deprecated Consume/ConsumeTimeout calls can surface them
-	// (ConsumeContext maps both cases to context errors).
-
 	src, err := st.CreateSource(2)
 	if err != nil {
 		t.Fatal(err)
@@ -512,8 +472,8 @@ func TestErrorSentinels(t *testing.T) {
 	}
 }
 
-// TestFunctionalOptions checks option/struct equivalence and telemetry
-// wiring of CreateStreamOpts.
+// TestFunctionalOptions checks option/struct equivalence and the mapper
+// option of CreateStreamOpts.
 func TestFunctionalOptions(t *testing.T) {
 	c := twoNodes(t, insane.NodeSpec{DPDK: true, RDMA: true})
 	sess, err := c.Node("edge-1").InitSession()

@@ -2,8 +2,7 @@ package insane
 
 // Option configures one aspect of a stream's QoS contract; pass them to
 // Session.CreateStreamOpts. The zero contract is slow / whatever-it-takes
-// / best-effort with telemetry enabled, exactly like a zero Options
-// struct.
+// / best-effort, exactly like a zero Options struct.
 type Option func(*Options)
 
 // WithDatapath sets the acceleration policy (§5.2).
@@ -33,14 +32,6 @@ func WithMapper(m func(available []string) string) Option {
 	return func(o *Options) { o.Mapper = m }
 }
 
-// WithTelemetry enables or disables the per-message latency histograms
-// for the stream. Telemetry is on by default and its hot-path cost is a
-// handful of atomic adds; disabling it only skips the per-stage latency
-// observations (throughput counters always run).
-func WithTelemetry(enabled bool) Option {
-	return func(o *Options) { o.DisableTelemetry = !enabled }
-}
-
 // WithRunToCompletion opts the stream's sources into the synchronous
 // local fast path: purely local, small-fanout emits are delivered on the
 // emitting goroutine, skipping the TX ring and polling thread entirely
@@ -53,8 +44,7 @@ func WithRunToCompletion(enabled bool) Option {
 
 // WithOptions replaces the whole contract with an assembled Options
 // struct; later options still apply on top. It is the bridge for code
-// that builds Options programmatically (and for the deprecated
-// CreateStream signature, which is now a wrapper over it).
+// that builds Options programmatically.
 func WithOptions(o Options) Option {
 	return func(dst *Options) { *dst = o }
 }

@@ -57,10 +57,6 @@ type Options struct {
 	// Node.Technologies()) and must return one of them; returning ""
 	// delegates back to the default strategy.
 	Mapper func(available []string) string
-	// DisableTelemetry opts the stream's messages out of the per-stage
-	// latency histograms (Node.Metrics, /metrics); throughput counters
-	// always run. See WithTelemetry.
-	DisableTelemetry bool
 	// RunToCompletion opts the stream's sources into the synchronous
 	// local fast path (DESIGN.md §11): when every subscriber of the
 	// emitted channel is local, the fanout is small, and the stream's
@@ -76,7 +72,6 @@ type Options struct {
 func (o Options) toQoS() qos.Options {
 	out := qos.Options{
 		Class:           o.Class,
-		NoTelemetry:     o.DisableTelemetry,
 		RunToCompletion: o.RunToCompletion,
 	}
 	if o.Mapper != nil {
@@ -166,16 +161,6 @@ func (s *Session) Close() error {
 		k.stopDispatch()
 	}
 	return publicErr(s.conn.Close())
-}
-
-// CreateStream opens a stream with the given QoS options; the runtime
-// maps it to the most appropriate technology available on this node.
-//
-// Deprecated: use CreateStreamOpts with functional options (WithOptions
-// wraps an existing Options struct); this signature remains for the
-// paper's create_stream(options) shape.
-func (s *Session) CreateStream(opts Options) (*Stream, error) {
-	return s.CreateStreamOpts(WithOptions(opts))
 }
 
 // Stream is an open stream: a set of quality requirements shared by its
@@ -390,11 +375,9 @@ func (k *Sink) Channel() int { return int(k.h.Channel()) }
 // Available returns how many deliveries are queued (data_available).
 func (k *Sink) Available() int { return k.h.Available() }
 
-// ConsumeContext pops one delivery, waiting until data arrives, the
-// context's deadline passes (the context error is returned), or the
-// context is canceled. This is the preferred consumption call; Consume
-// and ConsumeTimeout are retained as thin wrappers over the same
-// primitive.
+// ConsumeContext pops one delivery (consume_data), waiting until data
+// arrives, the context's deadline passes, or the context is canceled;
+// the last two return the context's error.
 //
 //insane:hotpath allow=block
 //insane:acquire resource=mem-slot on=nilerr
@@ -426,42 +409,6 @@ func (k *Sink) ConsumeContext(ctx context.Context) (*Message, error) {
 		return nil, publicErr(err)
 	}
 	return wrapDelivery(d), nil
-}
-
-// Consume pops one delivery. With block=false it returns ErrNoData
-// immediately when the sink is empty; with block=true it waits.
-//
-// Deprecated: use ConsumeContext, which supports cancellation; Consume
-// remains for the paper's boolean-flag consume_data signature.
-//
-//insane:hotpath allow=block
-//insane:acquire resource=mem-slot on=nilerr
-func (k *Sink) Consume(block bool) (*Message, error) {
-	if !block {
-		d, err := k.h.TryConsume()
-		if err != nil {
-			return nil, publicErr(err)
-		}
-		return wrapDelivery(d), nil
-	}
-	return k.ConsumeTimeout(0)
-}
-
-// ConsumeTimeout pops one delivery, waiting at most d (zero waits
-// forever). Unlike ConsumeContext with a deadline it allocates nothing,
-// so steady-state request/reply loops stay on the zero-allocation path.
-//
-// Deprecated: prefer ConsumeContext when cancellation matters more than
-// the last allocation.
-//
-//insane:hotpath allow=block
-//insane:acquire resource=mem-slot on=nilerr
-func (k *Sink) ConsumeTimeout(d time.Duration) (*Message, error) {
-	del, err := k.h.ConsumeCancel(nil, d)
-	if err != nil {
-		return nil, publicErr(err)
-	}
-	return wrapDelivery(del), nil
 }
 
 // Release returns a consumed message's memory to the runtime

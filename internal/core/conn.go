@@ -57,9 +57,6 @@ type txToken struct {
 	// ten is the emitting session's tenant (nil = default): the poller
 	// uncharges the in-flight TX token and tags the packet with it.
 	ten *tenant
-	// noTel opts the message out of the latency histograms (stream-level
-	// telemetry opt-out; counters still run).
-	noTel bool
 }
 
 // rxToken travels from the runtime to a sink's RX ring.
@@ -107,10 +104,8 @@ func (c *ClientConn) Tenant() string {
 // Owner returns the session's memory-pool owner id.
 func (c *ClientConn) Owner() mempool.Owner { return c.id }
 
-// lane returns (creating if needed) the session's TX lane toward the
-// polling thread of the given technology, registering the caller as one
-// more producer. The first producer on a single-poller technology gets
-// the cheap SPSC ring; a second producer promotes the lane to MPMC.
+// lane returns the session's TX lane toward the polling threads of the
+// given technology, creating it on first use.
 func (c *ClientConn) lane(tech model.Tech) (*txLane, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -118,25 +113,12 @@ func (c *ClientConn) lane(tech model.Tech) (*txLane, error) {
 		return nil, ErrClosed
 	}
 	if l, ok := c.lanes[tech]; ok {
-		l.producers++
-		if l.producers > 1 {
-			if err := l.promoteLocked(); err != nil {
-				return nil, err
-			}
-		}
-		// Promotion adds a ring: invalidate the cached TX topology.
-		c.rt.topoEpoch.Add(1)
 		return l, nil
 	}
-	// SPSC is provable only when exactly one polling thread consumes this
-	// technology (SharedPoller or the default one-poller-per-plugin
-	// mapping) and this first source stays the lane's only producer.
-	st := c.rt.techs[tech]
-	l, err := newTxLane(st != nil && st.consumers == 1)
+	l, err := newTxLane()
 	if err != nil {
 		return nil, err
 	}
-	l.producers = 1
 	c.lanes[tech] = l
 	// New lane: invalidate the pollers' cached TX topology.
 	c.rt.topoEpoch.Add(1)
@@ -297,9 +279,8 @@ func (h *StreamHandle) close(detach bool) {
 //
 // A source is owned by one emitting goroutine at a time: interleaved
 // Emits from several goroutines must be externally serialized (the same
-// contract the paper's per-session queues assume, and what lets the
-// runtime elect a wait-free SPSC TX lane for single-source sessions —
-// open one source per goroutine instead of sharing one).
+// contract the paper's per-session queues assume) — open one source per
+// goroutine instead of sharing one.
 func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -310,24 +291,11 @@ func (h *StreamHandle) CreateSource(channel uint32) (*SourceHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	// If registering this source promoted the lane, wait for the polling
-	// thread to drain the SPSC remnant before handing the source out:
-	// push() holds producers back while the remnant is non-empty (to keep
-	// per-producer FIFO across the promotion), and absorbing that window
-	// here — a cold path — keeps it invisible to emitters. The loop is
-	// counter-bounded so a stopping runtime cannot wedge us; on timeout
-	// the first emits simply see ErrBusy, the normal backpressure signal.
-	if lane.spsc != nil && !lane.single() {
-		for i := 0; i < 2000 && lane.spsc.Len() > 0; i++ {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
 	s := &SourceHandle{
 		stream:  h,
 		channel: channel,
 		lane:    lane,
 		shard:   h.conn.rt.tel.AssignShard(),
-		noTel:   h.opts.NoTelemetry,
 		rtc:     h.opts.RunToCompletion,
 		ten:     h.conn.ten,
 	}
@@ -362,7 +330,6 @@ func (h *StreamHandle) CreateSink(channel uint32) (*SinkHandle, error) {
 		ring:    ring,
 		notify:  make(chan struct{}, 1),
 		shard:   h.conn.rt.tel.AssignShard(),
-		noTel:   h.opts.NoTelemetry,
 		ten:     h.conn.ten,
 	}
 	if err := h.conn.rt.registerSink(k); err != nil {
@@ -432,7 +399,6 @@ type SourceHandle struct {
 	// shard is the telemetry stripe Emit records into; assigned
 	// round-robin at creation so concurrent publishers spread out.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSource
-	noTel bool             //insane:guardedby immutable after=CreateSource
 	// rtc opts Emit into the run-to-completion fast path (DESIGN.md §11).
 	rtc bool //insane:guardedby immutable after=CreateSource
 	// ten caches the session's tenant binding (nil = default tenant) so
@@ -545,7 +511,6 @@ func (s *SourceHandle) Emit(b *Buffer, n int) (uint32, error) {
 		vtime:   b.VTime,
 		bd:      b.Breakdown,
 		ten:     s.ten,
-		noTel:   s.noTel,
 	}
 	// The IPC hop: the token crosses the client→runtime ring.
 	ipc := s.stream.conn.rt.rc.IPCTx
@@ -626,7 +591,6 @@ type SinkHandle struct {
 	closed  atomic.Bool            //insane:guardedby atomic
 	// shard is the telemetry stripe Consume records into.
 	shard *telemetry.Shard //insane:guardedby immutable after=CreateSink
-	noTel bool             //insane:guardedby immutable after=CreateSink
 	// ten is the consuming session's tenant (nil = default): Consume
 	// mirrors its counters and latency histogram into the tenant domain.
 	ten *tenant //insane:guardedby immutable after=CreateSink
@@ -670,15 +634,13 @@ func (k *SinkHandle) TryConsume() (*Delivery, error) {
 		ten.shard.Inc(telemetry.CtrConsumes)
 		ten.shard.Add(telemetry.CtrConsumeBytes, uint64(tok.length))
 	}
-	if !k.noTel {
-		k.shard.Observe(telemetry.HistConsumeLatency, int64(tok.vtime))
-		k.shard.Observe(telemetry.HistStageSend, int64(tok.bd.Send))
-		k.shard.Observe(telemetry.HistStageNetwork, int64(tok.bd.Network))
-		k.shard.Observe(telemetry.HistStageRecv, int64(tok.bd.Recv))
-		k.shard.Observe(telemetry.HistStageProcessing, int64(tok.bd.Processing))
-		if ten := k.ten; ten != nil {
-			ten.shard.Observe(telemetry.HistConsumeLatency, int64(tok.vtime))
-		}
+	k.shard.Observe(telemetry.HistConsumeLatency, int64(tok.vtime))
+	k.shard.Observe(telemetry.HistStageSend, int64(tok.bd.Send))
+	k.shard.Observe(telemetry.HistStageNetwork, int64(tok.bd.Network))
+	k.shard.Observe(telemetry.HistStageRecv, int64(tok.bd.Recv))
+	k.shard.Observe(telemetry.HistStageProcessing, int64(tok.bd.Processing))
+	if ten := k.ten; ten != nil {
+		ten.shard.Observe(telemetry.HistConsumeLatency, int64(tok.vtime))
 	}
 	return d, nil
 }

@@ -6,108 +6,29 @@ import (
 	"time"
 
 	"github.com/insane-mw/insane/internal/datapath"
-	"github.com/insane-mw/insane/internal/model"
 	"github.com/insane-mw/insane/internal/qos"
 )
 
-// laneOf fetches the session's TX lane for a technology (test helper).
-func laneOf(c *ClientConn, tech model.Tech) *txLane {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lanes[tech]
-}
-
-// TestLaneElectionSingleSource: one source on a single-poller technology
-// gets the SPSC ring.
-func TestLaneElectionSingleSource(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
-	conn, _ := w.a.Connect()
-	st, _ := conn.OpenStream(qos.Options{})
-	sink, _ := st.CreateSink(41)
-	src, _ := st.CreateSource(41)
-
-	l := laneOf(conn, st.tech)
-	if l == nil || !l.single() {
-		t.Fatal("single source on single-poller tech: want SPSC lane")
-	}
-	if l.spsc == nil || l.mpmc != nil {
-		t.Errorf("SPSC lane rings: spsc=%v mpmc=%v", l.spsc != nil, l.mpmc != nil)
-	}
-	sendOn(t, src, []byte("via-spsc"))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.Release(d)
-}
-
-// TestLanePromotionOnSecondSource: a second source on the same session
-// and technology promotes the lane to MPMC, one-way.
-func TestLanePromotionOnSecondSource(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
-	conn, _ := w.a.Connect()
-	st, _ := conn.OpenStream(qos.Options{})
-	sink, _ := st.CreateSink(42)
-	src1, _ := st.CreateSource(42)
-	l := laneOf(conn, st.tech)
-	if !l.single() {
-		t.Fatal("first source: want SPSC mode")
-	}
-	src2, _ := st.CreateSource(42)
-	if l.single() {
-		t.Fatal("second source: want MPMC mode")
-	}
-	if l.mpmc == nil || l.spsc == nil {
-		t.Errorf("promoted lane keeps both rings: spsc=%v mpmc=%v", l.spsc != nil, l.mpmc != nil)
-	}
-	// Closing a source never demotes: the state machine is one-way.
-	src2.Close()
-	if l.single() {
-		t.Error("lane demoted after source close")
-	}
-	sendOn(t, src1, []byte("via-mpmc"))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.Release(d)
-}
-
-// TestLaneMPMCUnderMultiPoller: with several polling threads per plugin
-// the consumer side is not single, so even the first source gets MPMC.
-func TestLaneMPMCUnderMultiPoller(t *testing.T) {
-	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, func(c *Config) {
-		c.PollersPerPlugin = 2
-	})
-	conn, _ := w.a.Connect()
-	st, _ := conn.OpenStream(qos.Options{})
-	sink, _ := st.CreateSink(43)
-	src, _ := st.CreateSource(43)
-
-	l := laneOf(conn, st.tech)
-	if l.single() {
-		t.Fatal("multi-poller tech: want MPMC lane from birth")
-	}
-	if l.spsc != nil {
-		t.Error("multi-poller lane must not carry an SPSC ring")
-	}
-	sendOn(t, src, []byte("multi-poller"))
-	d, err := sink.Consume(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink.Release(d)
-}
-
-// TestLaneFIFOAcrossPromotion: tokens emitted by the first producer
-// before the promotion must be consumed before its tokens emitted after
-// it — the hold-back/remnant-drain protocol in action.
-func TestLaneFIFOAcrossPromotion(t *testing.T) {
+// TestLaneFIFOTwoSources: two sources of one session share the session's
+// TX lane toward the stream's technology; with their emits interleaved on
+// that lane, each producer's messages must still be consumed in the order
+// it emitted them.
+func TestLaneFIFOTwoSources(t *testing.T) {
 	w := buildWorld(t, datapath.Caps{}, datapath.Caps{}, nil)
 	conn, _ := w.a.Connect()
 	st, _ := conn.OpenStream(qos.Options{})
 	sink, _ := st.CreateSink(44)
-	src1, _ := st.CreateSource(44)
+	srcA, err := st.CreateSource(44)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcB, err := st.CreateSource(44)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcA.lane != srcB.lane {
+		t.Fatal("two sources of one session and technology got different lanes")
+	}
 
 	emitSeq := func(src *SourceHandle, tag byte, n uint32) {
 		b, err := src.GetBuffer(8)
@@ -121,23 +42,14 @@ func TestLaneFIFOAcrossPromotion(t *testing.T) {
 		}
 	}
 
-	const perPhase = 50
-	for i := uint32(0); i < perPhase; i++ {
-		emitSeq(src1, 'a', i)
-	}
-	// Promote mid-stream; CreateSource absorbs the remnant-drain window.
-	src2, err := st.CreateSource(44)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < perPhase; i++ {
-		emitSeq(src1, 'a', perPhase+i)
-		emitSeq(src2, 'b', i)
+	const perSource = 100
+	for i := uint32(0); i < perSource; i++ {
+		emitSeq(srcA, 'a', i)
+		emitSeq(srcB, 'b', i)
 	}
 
-	// Per-producer order must hold across the promotion boundary.
 	next := map[byte]uint32{'a': 0, 'b': 0}
-	for i := 0; i < 3*perPhase; i++ {
+	for i := 0; i < 2*perSource; i++ {
 		d, err := sink.Consume(2 * time.Second)
 		if err != nil {
 			t.Fatalf("consume %d: %v", i, err)

@@ -44,9 +44,6 @@ type outMeta struct {
 	// ten is the emitting session's tenant (nil = default): dispatch
 	// uncharges the in-flight TX token against it.
 	ten *tenant
-	// noTel opts the packet out of the latency histograms (stream-level
-	// WithTelemetry(false); counters still run).
-	noTel bool
 }
 
 // pktEnv is the pooled envelope of an outgoing packet: the datapath
@@ -142,38 +139,14 @@ func (r *Runtime) pollLoop(p *poller) {
 	}
 }
 
-// laneView is a poller's immutable view of one TX lane's rings. Both
-// pointers are captured under the owning conn's mu; a promotion bumps the
-// topology epoch, so a view missing the new MPMC ring survives at most
-// one pass. The SPSC ring is always drained before the MPMC ring — that,
-// plus the producer-side remnant hold-back in txLane.push, preserves
-// per-producer FIFO order across a promotion.
-type laneView struct {
-	spsc *ringbuf.SPSC[txToken]
-	mpmc *ringbuf.MPMC[txToken]
-}
-
-// queued returns the view's buffered token count (occupancy sampling).
-func (v *laneView) queued() int {
-	n := 0
-	if v.spsc != nil {
-		n += v.spsc.Len()
-	}
-	if v.mpmc != nil {
-		n += v.mpmc.Len()
-	}
-	return n
-}
-
-// txSnap is a poller's cached view of the TX lanes feeding one
+// txSnap is a poller's cached view of the TX lane rings feeding one
 // technology. The lane set only changes when a session connects,
-// disconnects, lazily creates a lane, or a lane is promoted to MPMC, so
-// the poller rebuilds it only when the runtime's topology epoch moves —
-// the steady-state drain pass touches no locks and no maps (RCU-style
-// read path, §5.3).
+// disconnects or lazily creates a lane, so the poller rebuilds it only
+// when the runtime's topology epoch moves — the steady-state drain pass
+// touches no locks and no maps (RCU-style read path, §5.3).
 type txSnap struct {
 	epoch uint64
-	lanes []laneView
+	lanes []*ringbuf.MPMC[txToken]
 }
 
 // refreshTxSnap rebuilds a poller's lane snapshot for one technology if
@@ -194,16 +167,10 @@ func (r *Runtime) refreshTxSnap(s *txSnap, tech model.Tech) {
 	for _, c := range conns {
 		c.mu.Lock()
 		l := c.lanes[tech]
-		var view laneView
-		if l != nil {
-			// Capture both ring pointers under c.mu: promotion writes
-			// l.mpmc under the same lock.
-			view = laneView{spsc: l.spsc, mpmc: l.mpmc}
-		}
 		c.mu.Unlock()
 		if l != nil {
 			//lint:ignore insanevet/hotpathcheck topology-epoch rebuild; the steady-state drain pass never reaches this
-			s.lanes = append(s.lanes, view)
+			s.lanes = append(s.lanes, l.ring)
 		}
 	}
 	s.epoch = epoch
@@ -221,52 +188,29 @@ func (r *Runtime) drainTX(p *poller, snap *txSnap, st *techState) int {
 	now := r.clock.Now()
 	pulled := 0
 	//insane:bounded by=one lane per live session in the epoch snapshot
-	for li := range snap.lanes {
-		lv := &snap.lanes[li]
+	for _, ring := range snap.lanes {
 		// Lane occupancy, sampled before the drain: queue-depth visibility
 		// for the exporter without a per-token cost. Empty lanes are not
 		// recorded — an idle poller would otherwise bury the distribution
 		// under zeros.
-		if occ := lv.queued(); occ > 0 {
+		if occ := ring.Len(); occ > 0 {
 			p.shard.Observe(telemetry.HistTxRingOccupancy, int64(occ))
 		}
-		// SPSC ring first (the pre-promotion remnant precedes any MPMC
-		// tokens from the same producer), then the MPMC ring.
-		if lv.spsc != nil {
-			//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
-			for pulled < r.burst {
-				want := r.burst - pulled
-				if want > len(p.toks) {
-					want = len(p.toks)
-				}
-				n := lv.spsc.PopBatch(p.toks[:want])
-				if n == 0 {
-					break
-				}
-				//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
-				for i := 0; i < n; i++ {
-					r.enqueueToken(p, st, p.toks[i], now)
-				}
-				pulled += n
+		//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
+		for pulled < r.burst {
+			want := r.burst - pulled
+			if want > len(p.toks) {
+				want = len(p.toks)
 			}
-		}
-		if lv.mpmc != nil {
-			//insane:bounded by=pulled strictly increases per iteration and r.burst <= model.MaxBurst
-			for pulled < r.burst {
-				want := r.burst - pulled
-				if want > len(p.toks) {
-					want = len(p.toks)
-				}
-				n := lv.mpmc.PopBatch(p.toks[:want])
-				if n == 0 {
-					break
-				}
-				//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
-				for i := 0; i < n; i++ {
-					r.enqueueToken(p, st, p.toks[i], now)
-				}
-				pulled += n
+			n := ring.PopBatch(p.toks[:want])
+			if n == 0 {
+				break
 			}
+			//insane:bounded by=n <= len(p.toks), the per-poller burst buffer (<= model.MaxBurst)
+			for i := 0; i < n; i++ {
+				r.enqueueToken(p, st, p.toks[i], now)
+			}
+			pulled += n
 		}
 	}
 
@@ -325,7 +269,7 @@ func (r *Runtime) enqueueToken(p *poller, st *techState, tok txToken, now timeba
 	}
 	env.meta = outMeta{
 		src: tok.src, seq: tok.seq, channel: tok.channel, timing: tok.timing,
-		enqVT: now, ten: tok.ten, noTel: tok.noTel,
+		enqVT: now, ten: tok.ten,
 	}
 	env.pkt.Charge(r.rc.Sched, tok.msgLen, 1, r.tb)
 	p.shard.Inc(telemetry.CtrSchedEnqueues)
@@ -352,9 +296,7 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		}
 		meta := &env.meta
 		p.shard.Inc(telemetry.CtrDispatches)
-		if !meta.noTel {
-			p.shard.Observe(telemetry.HistSchedDwell, int64(now.Sub(meta.enqVT)))
-		}
+		p.shard.Observe(telemetry.HistSchedDwell, int64(now.Sub(meta.enqVT)))
 
 		// Local sinks first: co-located source/sink pairs communicate
 		// through shared memory directly (§5.1). The snapshot slice is
@@ -362,7 +304,7 @@ func (r *Runtime) dispatch(p *poller, st *techState, batch []*datapath.Packet, n
 		sinks := r.sinksFor(meta.channel)
 		if len(sinks) > 0 {
 			_ = r.mm.AddRef(pkt.Slot, len(sinks))
-			r.deliverLocal(p, pkt, meta.channel, sinks, meta.noTel)
+			r.deliverLocal(p, pkt, meta.channel, sinks)
 		}
 
 		// Remote peers that subscribed to the channel.
@@ -464,7 +406,7 @@ func (r *Runtime) sendToPeer(p *poller, st *techState, pkt *datapath.Packet, sub
 
 // deliverLocal pushes a packet's slot to co-located sinks via shared
 // memory (one reference each).
-func (r *Runtime) deliverLocal(p *poller, pkt *datapath.Packet, channel uint32, sinks []*SinkHandle, noTel bool) {
+func (r *Runtime) deliverLocal(p *poller, pkt *datapath.Packet, channel uint32, sinks []*SinkHandle) {
 	payloadOff := pkt.Off + HeaderLen
 	payloadLen := pkt.Len - HeaderLen
 	//insane:bounded by=one entry per sink registered on the channel, fixed by the application
@@ -491,9 +433,7 @@ func (r *Runtime) deliverLocal(p *poller, pkt *datapath.Packet, channel uint32, 
 			continue
 		}
 		p.shard.Inc(telemetry.CtrLocalDeliveries)
-		if !noTel {
-			p.shard.Observe(telemetry.HistDeliverLatency, int64(d))
-		}
+		p.shard.Observe(telemetry.HistDeliverLatency, int64(d))
 		k.wake()
 	}
 }
@@ -603,9 +543,7 @@ func (r *Runtime) deliverRemote(p *poller, pkt *datapath.Packet, channel uint32,
 			}
 			continue
 		}
-		if !k.noTel {
-			p.shard.Observe(telemetry.HistDeliverLatency, int64(d))
-		}
+		p.shard.Observe(telemetry.HistDeliverLatency, int64(d))
 		k.wake()
 	}
 }

@@ -86,10 +86,8 @@ func (s *SourceHandle) emitRTC(b *Buffer, n int, seq uint32) bool {
 		}
 		s.shard.Inc(telemetry.CtrLocalDeliveries)
 		s.shard.Inc(telemetry.CtrRTCDeliveries)
-		if !s.noTel {
-			s.shard.Observe(telemetry.HistDeliverLatency, int64(d))
-			s.shard.Observe(telemetry.HistRTCDeliver, int64(hop+d))
-		}
+		s.shard.Observe(telemetry.HistDeliverLatency, int64(d))
+		s.shard.Observe(telemetry.HistRTCDeliver, int64(hop+d))
 		k.wake()
 	}
 	_ = rt.mm.Release(b.Slot)

@@ -122,11 +122,6 @@ type techState struct {
 	schedMu sync.Mutex
 	wdrr    *sched.WDRR //insane:guardedby immutable after=NewRuntime
 	tas     *sched.TAS  //insane:guardedby immutable after=NewRuntime
-
-	// consumers is how many polling threads drain this technology's TX
-	// lanes, fixed at runtime construction. Exactly 1 is what makes a
-	// single-producer lane eligible for the SPSC ring.
-	consumers int //insane:guardedby immutable after=NewRuntime
 }
 
 // Runtime is the INSANE runtime instance of one host.
@@ -349,13 +344,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			}
 		}
 	}
-	// Record how many pollers drain each technology: the TX-lane SPSC
-	// election (lane) needs the consumer count to be provably 1.
-	for _, g := range groups {
-		for _, st := range g {
-			st.consumers++
-		}
-	}
 	// One telemetry shard per polling thread (hot-path writers stay on
 	// private cache lines) plus a stripe for client-side handles.
 	r.tel = telemetry.New(len(groups) + clientTelemetryShards)
@@ -484,7 +472,7 @@ func (r *Runtime) dropConn(c *ClientConn) {
 	r.mu.Unlock()
 	// Pollers pick up the shrunk session list on their next pass; after
 	// two full passes none can still be draining this session's lanes,
-	// so the SPSC remnant may be popped from this goroutine.
+	// so what is left in them may be popped from this goroutine.
 	r.waitPollerPasses(2, timebase.Wall().Add(50*time.Millisecond))
 	if n := r.reclaimLanes(c); n > 0 {
 		r.tel.AssignShard().Add(telemetry.CtrTxReclaims, uint64(n))

@@ -113,8 +113,11 @@ func TestBudgetUnlimitedGaugesOnly(t *testing.T) {
 }
 
 // TestBudgetConcurrent hammers one capped budget from many goroutines;
-// under -race this doubles as the happens-before proof for the plain
-// slotState.budget field.
+// under -race this doubles as the happens-before proof for
+// slotState.budget. The budget keeps at most 8 of the 64 slots
+// borrowed, so every Get must find a slot and every Release must return
+// it to the free list: a spurious ErrExhausted, a Release error or a
+// missing free slot at the end is a free-list bug.
 func TestBudgetConcurrent(t *testing.T) {
 	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 256, Slots: 64}}})
 	if err != nil {
@@ -135,7 +138,10 @@ func TestBudgetConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = m.Release(id)
+				if err := m.Release(id); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(Owner(g + 1))
 	}

@@ -18,10 +18,9 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
-
-	"github.com/insane-mw/insane/internal/ringbuf"
 )
 
 // Errors returned by the manager.
@@ -121,7 +120,19 @@ type pool struct {
 	slotSize int         //insane:guardedby immutable after=NewManager
 	backing  []byte      //insane:guardedby immutable after=NewManager
 	states   []slotState //insane:guardedby immutable after=NewManager
-	free     *ringbuf.MPMC[uint32] //insane:guardedby immutable after=NewManager
+	// free is the pool's free list: one bit per slot, set while the slot
+	// is free. Release sets its slot's bit and Get clears one, each with
+	// one CAS on one word, so no operation has a half-done state in which
+	// a preempted goroutine could hide a free slot from Get or make
+	// Release fail, as a claimed-but-unpublished cell does in a ring.
+	free []atomic.Uint64 //insane:guardedby immutable after=NewManager
+	// cursor is the slot index the next Get starts its search at. Get
+	// takes the first free slot at or after it and moves it past that
+	// slot, so slots are handed out in cyclic address order: a released
+	// slot is reused only after the cursor laps the pool, which keeps a
+	// sender's fresh writes off cache lines another core just read. It
+	// is a hint; a stale value only changes which free slot Get finds.
+	cursor atomic.Uint32 //insane:guardedby atomic
 }
 
 // Manager owns the memory pools and the borrow/release protocol.
@@ -159,20 +170,14 @@ func NewManager(cfg Config) (*Manager, error) {
 		if c.Slots > indexMask {
 			return nil, fmt.Errorf("mempool: class has too many slots (%d)", c.Slots)
 		}
-		free, err := ringbuf.NewMPMC[uint32](c.Slots)
-		if err != nil {
-			return nil, fmt.Errorf("mempool: %w", err)
-		}
 		p := &pool{
 			slotSize: c.SlotSize,
 			backing:  make([]byte, c.SlotSize*c.Slots),
 			states:   make([]slotState, c.Slots),
-			free:     free,
+			free:     make([]atomic.Uint64, (c.Slots+63)/64),
 		}
-		for i := 0; i < c.Slots; i++ {
-			if !p.free.TryPush(uint32(i)) {
-				return nil, fmt.Errorf("mempool: free ring underprovisioned")
-			}
+		for w := range p.free {
+			p.free[w].Store(^uint64(0) >> (64 - min(c.Slots-64*w, 64)))
 		}
 		m.pools = append(m.pools, p)
 	}
@@ -206,7 +211,7 @@ func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, e
 		if size > p.slotSize {
 			continue
 		}
-		idx, ok := p.free.TryPop()
+		idx, ok := p.pop()
 		if !ok {
 			continue // class exhausted; try a larger one
 		}
@@ -215,8 +220,7 @@ func (m *Manager) GetBudget(size int, owner Owner, b *Budget) (SlotID, []byte, e
 		st.owner.Store(int32(owner))
 		st.budget.Store(b)
 		m.gets.Add(1)
-		id := makeSlotID(pi, int(idx))
-		return id, p.slotBuf(int(idx)), nil
+		return makeSlotID(pi, idx), p.slotBuf(idx), nil
 	}
 	if b != nil {
 		b.Uncharge()
@@ -281,7 +285,7 @@ func (m *Manager) AddRef(id SlotID, n int) error {
 }
 
 // Release drops one reference; when the count reaches zero the slot returns
-// to its pool's free ring.
+// to its pool's free list.
 //
 //insane:hotpath
 //insane:release resource=mem-slot
@@ -304,11 +308,7 @@ func (m *Manager) Release(id SlotID) error {
 		st.owner.Store(int32(NoOwner))
 		st.gen.Add(1)
 		m.releases.Add(1)
-		if !p.free.TryPush(uint32(idx)) {
-			// Cannot happen: ring capacity equals slot count.
-			//lint:ignore insanevet/hotpathcheck cold error path, never taken steady-state
-			return fmt.Errorf("mempool: free ring overflow for %v", id)
-		}
+		p.push(idx)
 	}
 	return nil
 }
@@ -335,7 +335,7 @@ func (m *Manager) ReleaseOwner(owner Owner) int {
 				st.owner.Store(int32(NoOwner))
 				st.gen.Add(1)
 				m.releases.Add(1)
-				p.free.TryPush(uint32(idx))
+				p.push(idx)
 				reclaimed++
 			}
 		}
@@ -344,11 +344,13 @@ func (m *Manager) ReleaseOwner(owner Owner) int {
 }
 
 // FreeSlots reports the currently free slot count per class, smallest
-// class first.
+// class first (a snapshot under concurrent use).
 func (m *Manager) FreeSlots() []int {
 	out := make([]int, len(m.pools))
 	for i, p := range m.pools {
-		out[i] = p.free.Len()
+		for w := range p.free {
+			out[i] += bits.OnesCount64(p.free[w].Load())
+		}
 	}
 	return out
 }
@@ -399,6 +401,57 @@ func (m *Manager) locate(id SlotID) (*pool, int, error) {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadSlot, id)
 	}
 	return p, idx, nil
+}
+
+// pop claims a free slot, reporting false when none is free: a slot
+// that stays free while pop runs is always found. It scans the free
+// words once around, starting at the cursor's word with the bits below
+// the cursor masked off; those are checked last, when the scan wraps
+// back to the starting word.
+//
+//insane:hotpath
+func (p *pool) pop() (int, bool) {
+	start := int(p.cursor.Load())
+	w0 := start / 64
+	//insane:bounded by=one pass over the pool's free words plus one wrap-around, fixed at manager construction
+	for i := 0; i <= len(p.free); i++ {
+		w := (w0 + i) % len(p.free)
+		mask := ^uint64(0)
+		if i == 0 {
+			mask <<= start % 64
+		}
+		word := &p.free[w]
+		//insane:bounded by=lock-free CAS retry: a failed swap means another getter or releaser made progress
+		for {
+			old := word.Load()
+			avail := old & mask
+			if avail == 0 {
+				break
+			}
+			bit := avail & -avail
+			if word.CompareAndSwap(old, old&^bit) {
+				idx := w*64 + bits.TrailingZeros64(bit)
+				p.cursor.Store(uint32((idx + 1) % len(p.states)))
+				return idx, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// push marks a slot nobody references as free again.
+//
+//insane:hotpath
+func (p *pool) push(idx int) {
+	word := &p.free[idx/64]
+	bit := uint64(1) << (idx % 64)
+	//insane:bounded by=lock-free CAS retry: a failed swap means another getter or releaser made progress
+	for {
+		old := word.Load()
+		if word.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
 }
 
 func (p *pool) slotBuf(idx int) []byte {

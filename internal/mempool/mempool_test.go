@@ -120,6 +120,50 @@ func TestGetExhaustionAndOverflowToLargerClass(t *testing.T) {
 	}
 }
 
+// TestGetCyclicOrder pins the free list's hand-out order: Get walks the
+// slots in cyclic address order, so a just-released slot is not handed
+// straight back, and a free slot behind the search cursor in the
+// cursor's own word is still found once the search wraps around.
+func TestGetCyclicOrder(t *testing.T) {
+	m, err := NewManager(Config{Classes: []ClassConfig{{SlotSize: 64, Slots: 100}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(want int) {
+		t.Helper()
+		id, _, err := m.Get(64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id.index() != want {
+			t.Fatalf("Get = slot %d, want %d", id.index(), want)
+		}
+	}
+	release := func(idx int) {
+		t.Helper()
+		if err := m.Release(makeSlotID(0, idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get(0)
+	release(0)
+	get(1) // not the slot just released
+	for i := 2; i < 100; i++ {
+		get(i)
+	}
+	get(0) // the cursor wrapped around to the only free slot
+	release(65)
+	get(65) // cursor now at 66, in the second word
+	release(64)
+	get(64) // below the cursor in its own word: found on the wrap-around
+	if _, _, err := m.Get(64, 1); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("Get on a full pool = %v, want ErrExhausted", err)
+	}
+	if free := m.FreeSlots()[0]; free != 0 {
+		t.Fatalf("free slots = %d, want 0", free)
+	}
+}
+
 func TestSlotBuffersDoNotOverlap(t *testing.T) {
 	m := newTestManager(t)
 	id1, b1, _ := m.Get(128, 1)

@@ -108,9 +108,6 @@ type Options struct {
 	// Mapper overrides the default mapping strategy when non-nil
 	// ("according to a user-configured mapping strategy", §5.2).
 	Mapper Mapper
-	// NoTelemetry opts this stream's messages out of the per-stage
-	// latency histograms (counters still run); see DESIGN.md §8.
-	NoTelemetry bool
 	// RunToCompletion opts the stream's sources into the run-to-completion
 	// fast path (DESIGN.md §11): an Emit whose fanout is purely local, small
 	// enough, and (for time-sensitive streams) inside its 802.1Qbv gate

@@ -1,9 +1,42 @@
+// Package ringbuf implements the bounded lock-free ring that carries
+// tokens between the INSANE client library and the runtime, mirroring
+// the shared-memory queues of the paper's prototype (§5.3: "state-of-the-art
+// lock-free queues" in the style of the DPDK ring library and BBQ).
+//
+// MPMC is a Vyukov-style bounded multi-producer/multi-consumer ring. It
+// backs every queue of the runtime: the per-(session,technology) TX lanes
+// (internal/core's txLane), the sink RX rings (fed by pollers and
+// run-to-completion emitters alike) and the shared tier of the envelope
+// caches.
+//
+// The ring is fixed capacity (a power of two), never allocates after
+// construction, and never blocks: full/empty conditions are reported to
+// the caller, which decides whether to retry, back off, or drop.
 package ringbuf
 
 import (
 	"fmt"
 	"sync/atomic"
 )
+
+// cacheLinePad separates hot atomics to avoid false sharing between the
+// producer and consumer cache lines.
+type cacheLinePad [64]byte
+
+// ceilPow2 rounds n up to a power of two, validating the range.
+func ceilPow2(n int) (uint64, error) {
+	if n < 1 {
+		return 0, fmt.Errorf("capacity %d must be >= 1", n)
+	}
+	if n > 1<<30 {
+		return 0, fmt.Errorf("capacity %d too large", n)
+	}
+	p := uint64(1)
+	for p < uint64(n) {
+		p <<= 1
+	}
+	return p, nil
+}
 
 // mpmcCell is one slot of the MPMC ring. seq encodes the slot state:
 // producers may write when seq == position, consumers may read when
@@ -110,9 +143,8 @@ func (q *MPMC[T]) TryPop() (T, bool) {
 // accepted. The claim is sequence-aware: the producer first counts how
 // many consecutive cells starting at the current tail are free (seq ==
 // position), then claims the whole run with one CAS, so a burst costs
-// one atomic RMW instead of one per element — the MPMC analogue of the
-// SPSC PopBatch that the paper's opportunistic batching relies on
-// (§6.2). Elements are published in order; concurrent consumers may
+// one atomic RMW instead of one per element (the paper's opportunistic
+// batching, §6.2). Elements are published in order; concurrent consumers may
 // start popping the front of the run before the tail is written.
 //
 //insane:hotpath

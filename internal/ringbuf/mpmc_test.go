@@ -8,8 +8,56 @@ import (
 )
 
 func TestNewMPMCInvalidCapacity(t *testing.T) {
-	if _, err := NewMPMC[int](0); err == nil {
-		t.Error("NewMPMC(0): want error, got nil")
+	for _, c := range []int{0, -1, 1 << 31} {
+		if _, err := NewMPMC[int](c); err == nil {
+			t.Errorf("NewMPMC(%d): want error, got nil", c)
+		}
+	}
+}
+
+func TestMPMCCapacityRounding(t *testing.T) {
+	cases := []struct{ in, want int }{
+		{2, 2}, {3, 4}, {5, 8}, {8, 8}, {1000, 1024},
+	}
+	for _, c := range cases {
+		q, err := NewMPMC[int](c.in)
+		if err != nil {
+			t.Fatalf("NewMPMC(%d): %v", c.in, err)
+		}
+		if q.Cap() != c.want {
+			t.Errorf("NewMPMC(%d).Cap() = %d, want %d", c.in, q.Cap(), c.want)
+		}
+	}
+}
+
+// TestMPMCZeroesPoppedSlots: a popped cell must drop its reference, so
+// the ring never keeps a consumed element (and everything it points to)
+// reachable — for both the single and the batch pop.
+func TestMPMCZeroesPoppedSlots(t *testing.T) {
+	q, err := NewMPMC[*int](4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := 7
+	q.TryPush(&v)
+	if got, ok := q.TryPop(); !ok || got != &v {
+		t.Fatalf("TryPop = %v,%v want &v,true", got, ok)
+	}
+	if q.cells[0].val != nil {
+		t.Error("TryPop: popped cell still references the element")
+	}
+
+	if n := q.PushBatch([]*int{&v, &v, &v}); n != 3 {
+		t.Fatalf("PushBatch accepted %d, want 3", n)
+	}
+	dst := make([]*int, 3)
+	if n := q.PopBatch(dst); n != 3 {
+		t.Fatalf("PopBatch returned %d, want 3", n)
+	}
+	for i := range q.cells {
+		if q.cells[i].val != nil {
+			t.Errorf("PopBatch: cell %d still references an element", i)
+		}
 	}
 }
 
